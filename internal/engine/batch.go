@@ -336,27 +336,80 @@ type deltaAcc interface {
 	Add(t types.Tuple, m float64) float64
 }
 
+// windowScratch is the batched path's working memory. It lives as long as
+// the engine — only the driving goroutine sets it up, and the chunk workers a
+// window starts are joined before it returns — so steady-state windows
+// allocate neither delta stores nor the bookkeeping around them.
+type windowScratch struct {
+	// workers holds one delta set per shard worker; a single-worker window
+	// uses workers[0].
+	workers []*workerDeltas
+	chunks  []blockChunk
+	ranges  [][2]int
+	errs    []error
+	// merges, mergeOf and tasks are mergeRanged's per-view store lists, its
+	// view index over them and its combine task list.
+	merges  []viewMerge
+	mergeOf map[*View]int
+	tasks   []partTask
+	// next and wg coordinate a parallel window's chunk workers.
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
 // workerDeltas accumulates, per target view, one worker's summed delta of
-// its chunks, partitioned by output-key hash range. Every worker uses the
-// same partition count, so part i of one worker's delta holds exactly the
-// same key range as part i of another's — the disjointness the merge stage's
-// lock-free combining relies on.
+// its chunks, partitioned by output-key hash range. Every worker of a window
+// uses the same partition count, so part i of one worker's delta holds
+// exactly the same key range as part i of another's — the disjointness the
+// merge stage's lock-free combining relies on.
+//
+// The stores persist across windows. begin opens a window, and a store is
+// Reset when the window first acquires it (acc), not when a window ends: a
+// window that fails partway leaves partial deltas behind, but no later
+// window reads a store it has not reset, because only stores in used are
+// ever merged.
 type workerDeltas struct {
 	nParts int
-	m      map[string]*gmr.Ranged
+	gen    uint64
+	stores map[*View]*viewDelta
+	used   []*viewDelta
 }
 
-func newWorkerDeltas(nParts int) *workerDeltas {
-	return &workerDeltas{nParts: nParts, m: map[string]*gmr.Ranged{}}
+// viewDelta is one worker's delta store for one view; gen is the window that
+// last acquired it.
+type viewDelta struct {
+	view *View
+	rd   *gmr.Ranged
+	gen  uint64
 }
 
+func newWorkerDeltas() *workerDeltas {
+	return &workerDeltas{stores: map[*View]*viewDelta{}}
+}
+
+// begin opens a window whose stores route by nParts partitions.
+func (w *workerDeltas) begin(nParts int) {
+	w.nParts = nParts
+	w.gen++
+	w.used = w.used[:0]
+}
+
+// acc returns the worker's delta store for v in the current window, emptied
+// on its first acquisition in the window.
 func (w *workerDeltas) acc(v *View) *gmr.Ranged {
-	d, ok := w.m[v.name]
-	if !ok {
-		d = gmr.NewRanged(types.Schema(v.keys), w.nParts)
-		w.m[v.name] = d
+	d := w.stores[v]
+	switch {
+	case d == nil:
+		d = &viewDelta{view: v, rd: gmr.NewRanged(types.Schema(v.keys), w.nParts)}
+		w.stores[v] = d
+	case d.gen == w.gen:
+		return d.rd
+	default:
+		d.rd.Reset(w.nParts)
 	}
-	return d
+	d.gen = w.gen
+	w.used = append(w.used, d)
+	return d.rd
 }
 
 // blockChunk is one unit of phase-1 work: a row range of one direction's
@@ -392,7 +445,8 @@ func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
 		return err
 	}
 
-	var chunks []blockChunk
+	s := &e.win
+	s.chunks = s.chunks[:0]
 	parallel := e.shards > 1 && n >= 2*e.shards
 	for _, dir := range [2]struct {
 		tp    *triggerPlan
@@ -401,73 +455,66 @@ func (e *Engine) applyGroup(plan *relationPlan, events []Event) error {
 		if dir.block == nil || dir.block.Len() == 0 {
 			continue
 		}
-		if parallel {
-			for _, r := range splitChunks(dir.block.Len(), e.shards) {
-				chunks = append(chunks, blockChunk{tp: dir.tp, block: dir.block, lo: r[0], hi: r[1]})
-			}
-		} else {
-			chunks = append(chunks, blockChunk{tp: dir.tp, block: dir.block, lo: 0, hi: dir.block.Len()})
+		if !parallel {
+			s.chunks = append(s.chunks, blockChunk{tp: dir.tp, block: dir.block, lo: 0, hi: dir.block.Len()})
+			continue
+		}
+		s.ranges = splitChunks(s.ranges[:0], dir.block.Len(), e.shards)
+		for _, r := range s.ranges {
+			s.chunks = append(s.chunks, blockChunk{tp: dir.tp, block: dir.block, lo: r[0], hi: r[1]})
 		}
 	}
-	nw := 1
-	if parallel && len(chunks) > 1 {
-		nw = e.shards
-		if nw > len(chunks) {
-			nw = len(chunks)
-		}
+	nw, nParts := 1, 1
+	if parallel && len(s.chunks) > 1 {
+		nw, nParts = min(e.shards, len(s.chunks)), e.shards
+	}
+	for len(s.workers) < nw {
+		s.workers = append(s.workers, newWorkerDeltas())
+	}
+	workers := s.workers[:nw]
+	for _, wd := range workers {
+		wd.begin(nParts)
 	}
 
 	if nw == 1 {
-		deltas := newWorkerDeltas(1)
-		for _, c := range chunks {
-			if err := e.evalBlockChunk(c.tp, c.block, c.lo, c.hi, deltas); err != nil {
+		for _, c := range s.chunks {
+			if err := e.evalBlockChunk(c.tp, c.block, c.lo, c.hi, workers[0]); err != nil {
 				return err
 			}
 		}
-		e.countEvents(uint64(n))
-		for name, rd := range deltas.m {
-			v := e.views[name]
-			for i := 0; i < rd.NumParts(); i++ {
-				if p := rd.Part(i); p != nil {
-					v.MergeDelta(p)
-				}
-			}
-		}
-		e.captureGroupLocked(deltas.m)
 	} else {
-		results := make([]*workerDeltas, nw)
-		errs := make([]error, nw)
-		var next atomic.Int64
-		var wg sync.WaitGroup
+		if cap(s.errs) < nw {
+			s.errs = make([]error, nw)
+		}
+		s.errs = s.errs[:nw]
+		clear(s.errs)
+		s.next.Store(0)
 		for w := 0; w < nw; w++ {
-			wg.Add(1)
+			s.wg.Add(1)
 			go func(w int) {
-				defer wg.Done()
-				wd := newWorkerDeltas(e.shards)
-				results[w] = wd
+				defer s.wg.Done()
 				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(chunks) {
+					i := int(s.next.Add(1)) - 1
+					if i >= len(s.chunks) {
 						return
 					}
-					c := chunks[i]
-					if err := e.evalBlockChunk(c.tp, c.block, c.lo, c.hi, wd); err != nil {
-						errs[w] = err
+					c := s.chunks[i]
+					if err := e.evalBlockChunk(c.tp, c.block, c.lo, c.hi, workers[w]); err != nil {
+						s.errs[w] = err
 						return
 					}
 				}
 			}(w)
 		}
-		wg.Wait()
-		for _, err := range errs {
+		s.wg.Wait()
+		for _, err := range s.errs {
 			if err != nil {
 				return err
 			}
 		}
-		e.countEvents(uint64(n))
-		combined := e.mergeRanged(results, nw)
-		e.captureGroupLocked(combined)
 	}
+	e.countEvents(uint64(n))
+	e.captureGroupLocked(e.mergeRanged(workers))
 
 	if plan.class == trigger.BatchReevalTail {
 		return e.runReevalTail(plan, events)
@@ -598,89 +645,112 @@ func (e *Engine) evalBlockChunk(tp *triggerPlan, block *exec.Block, lo, hi int, 
 	return nil
 }
 
-// mergeRanged is phase 2 of a multi-worker group. Stage A combines the
-// workers' deltas part by part: parts with the same index hold the same key-
-// hash range across workers, so the (view, part) combine tasks are mutually
-// disjoint and run lock-free across the pool — this is where one hot view's
-// merge work parallelizes. Parts only one worker touched are adopted by
-// pointer. Stage B applies each view's combined parts to the view, one task
-// per view (a view's flat store is a single structure; applying it is the
-// serial minimum). Small groups skip the goroutine fan-out.
-func (e *Engine) mergeRanged(results []*workerDeltas, nw int) map[string]*gmr.Ranged {
-	perView := map[string][]*gmr.Ranged{}
+// viewMerge lists, for one view, the delta stores of every worker that
+// touched it in the window; stores[0] receives the combined delta.
+type viewMerge struct {
+	view   *View
+	stores []*gmr.Ranged
+}
+
+// partTask is one stage-A combine: part `part` of every src into dst.
+type partTask struct {
+	dst  *gmr.Ranged
+	srcs []*gmr.Ranged
+	part int
+}
+
+// combinePart merges part t.part of every source store into the
+// destination, swapping a source's part in whole while the destination's is
+// still empty.
+func combinePart(t partTask) {
+	for _, src := range t.srcs {
+		sp := src.Part(t.part)
+		if sp == nil || sp.IsEmpty() {
+			continue
+		}
+		if dp := t.dst.Part(t.part); dp == nil || dp.IsEmpty() {
+			t.dst.SwapPart(t.part, src)
+			continue
+		}
+		t.dst.Part(t.part).MergeInto(sp, 1)
+	}
+}
+
+// apply merges the view's combined delta (stores[0]) into the view.
+func (m *viewMerge) apply() {
+	rd := m.stores[0]
+	for p := 0; p < rd.NumParts(); p++ {
+		if part := rd.Part(p); part != nil {
+			m.view.MergeDelta(part)
+		}
+	}
+}
+
+// mergeRanged is phase 2 of a group. Stage A combines the workers' deltas
+// part by part: parts with the same index hold the same key-hash range
+// across workers, so the (view, part) combine tasks are mutually disjoint
+// and run lock-free across the pool — this is where one hot view's merge
+// work parallelizes. A part the destination has not filled is swapped in
+// whole from a worker rather than copied; the worker takes the emptied part
+// in exchange, so every part keeps a single owning store and the reused
+// stores never alias one another. Stage B applies each view's combined
+// parts to the view, one task per view (a view's flat store is a single
+// structure; applying it is the serial minimum). Small groups and single-
+// worker windows skip the goroutine fan-out. The returned list aliases the
+// engine's window scratch and is valid until the next window.
+func (e *Engine) mergeRanged(workers []*workerDeltas) []viewMerge {
+	s := &e.win
+	if s.mergeOf == nil {
+		s.mergeOf = map[*View]int{}
+	}
+	clear(s.mergeOf)
+	s.merges = s.merges[:0]
 	total := 0
-	for _, wd := range results {
-		if wd == nil {
+	for _, wd := range workers {
+		for _, d := range wd.used {
+			i, ok := s.mergeOf[d.view]
+			if !ok {
+				i = len(s.merges)
+				s.mergeOf[d.view] = i
+				if i == cap(s.merges) {
+					s.merges = append(s.merges, viewMerge{})
+				}
+				// Keep the store list's backing array from earlier windows.
+				s.merges = s.merges[:i+1]
+				s.merges[i] = viewMerge{view: d.view, stores: s.merges[i].stores[:0]}
+			}
+			s.merges[i].stores = append(s.merges[i].stores, d.rd)
+			total += d.rd.Len()
+		}
+	}
+	s.tasks = s.tasks[:0]
+	for _, m := range s.merges {
+		if len(m.stores) == 1 {
 			continue
 		}
-		for name, rd := range wd.m {
-			perView[name] = append(perView[name], rd)
-			total += rd.Len()
+		for p := 0; p < m.stores[0].NumParts(); p++ {
+			s.tasks = append(s.tasks, partTask{dst: m.stores[0], srcs: m.stores[1:], part: p})
 		}
 	}
-	combined := make(map[string]*gmr.Ranged, len(perView))
-	type partTask struct {
-		dst  *gmr.Ranged
-		srcs []*gmr.Ranged
-		part int
-	}
-	var tasks []partTask
-	for name, list := range perView {
-		combined[name] = list[0]
-		if len(list) == 1 {
-			continue
-		}
-		for p := 0; p < list[0].NumParts(); p++ {
-			tasks = append(tasks, partTask{dst: list[0], srcs: list[1:], part: p})
-		}
-	}
-	combinePart := func(t partTask) {
-		dstPart := t.dst.Part(t.part)
-		for _, src := range t.srcs {
-			sp := src.Part(t.part)
-			if sp == nil {
-				continue
-			}
-			if dstPart == nil {
-				t.dst.SetPart(t.part, sp)
-				dstPart = sp
-				continue
-			}
-			dstPart.MergeInto(sp, 1)
-		}
-	}
-	// Stage A: combine across workers, parallel over (view, part).
 	const inlineThreshold = 256
-	if total < inlineThreshold || len(tasks) <= 1 {
-		for _, t := range tasks {
+	inline := len(workers) == 1 || total < inlineThreshold
+	// Stage A: combine across workers, parallel over (view, part).
+	if inline || len(s.tasks) <= 1 {
+		for _, t := range s.tasks {
 			combinePart(t)
 		}
 	} else {
-		runTasks(nw, len(tasks), func(i int) { combinePart(tasks[i]) })
+		runTasks(len(workers), len(s.tasks), func(i int) { combinePart(s.tasks[i]) })
 	}
-
 	// Stage B: apply combined parts, parallel over views.
-	names := make([]string, 0, len(combined))
-	for name := range combined {
-		names = append(names, name)
-	}
-	applyView := func(i int) {
-		v := e.views[names[i]]
-		rd := combined[names[i]]
-		for p := 0; p < rd.NumParts(); p++ {
-			if part := rd.Part(p); part != nil {
-				v.MergeDelta(part)
-			}
-		}
-	}
-	if total < inlineThreshold || len(names) <= 1 {
-		for i := range names {
-			applyView(i)
+	if inline || len(s.merges) <= 1 {
+		for i := range s.merges {
+			s.merges[i].apply()
 		}
 	} else {
-		runTasks(nw, len(names), func(i int) { applyView(i) })
+		runTasks(len(workers), len(s.merges), func(i int) { s.merges[i].apply() })
 	}
-	return combined
+	return s.merges
 }
 
 // runTasks runs n tasks across up to nw goroutines pulling from a shared
@@ -767,49 +837,49 @@ func (e *Engine) runReevalTail(plan *relationPlan, events []Event) error {
 	return nil
 }
 
-// captureGroupLocked folds the batched path's per-view deltas into the
-// subscription hub's capture accumulators — the batched path feeds
+// captureGroupLocked folds the batched path's combined per-view deltas into
+// the subscription hub's capture accumulators — the batched path feeds
 // subscribers from the very deltas it merged into the views, with no extra
 // evaluation. Callers hold e.mu.
-func (e *Engine) captureGroupLocked(deltas map[string]*gmr.Ranged) {
+func (e *Engine) captureGroupLocked(merges []viewMerge) {
 	if !e.capturing {
 		return
 	}
-	for name, rd := range deltas {
-		c := e.capture[name]
+	for _, m := range merges {
+		c := e.capture[m.view.name]
 		if c == nil {
 			continue
 		}
+		rd := m.stores[0]
 		for p := 0; p < rd.NumParts(); p++ {
 			c.MergeInto(rd.Part(p), 1)
 		}
 	}
 }
 
-// splitChunks cuts total rows into at most n contiguous [lo, hi) ranges.
-// The first total%n ranges carry one extra row, so no range is ever empty
-// and sizes differ by at most one — in particular a total just above the
-// parallelism gate (2*shards) still yields balanced chunks rather than a
-// degenerate trailing sliver.
-func splitChunks(total, n int) [][2]int {
+// splitChunks cuts total rows into at most n contiguous [lo, hi) ranges,
+// appended to dst. The first total%n ranges carry one extra row, so no range
+// is ever empty and sizes differ by at most one — in particular a total just
+// above the parallelism gate (2*shards) still yields balanced chunks rather
+// than a degenerate trailing sliver.
+func splitChunks(dst [][2]int, total, n int) [][2]int {
 	if n > total {
 		n = total
 	}
 	if n <= 0 {
-		return nil
+		return dst
 	}
 	base, rem := total/n, total%n
-	out := make([][2]int, 0, n)
 	lo := 0
 	for i := 0; i < n; i++ {
 		size := base
 		if i < rem {
 			size++
 		}
-		out = append(out, [2]int{lo, lo + size})
+		dst = append(dst, [2]int{lo, lo + size})
 		lo += size
 	}
-	return out
+	return dst
 }
 
 // stmtDelta evaluates one general (non-scalar) statement for one event

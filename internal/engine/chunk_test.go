@@ -17,7 +17,7 @@ func TestSplitChunksBoundaries(t *testing.T) {
 		{100, 7}, {1000, 16}, {1001, 16},
 	}
 	for _, tc := range cases {
-		chunks := splitChunks(tc.total, tc.n)
+		chunks := splitChunks(nil, tc.total, tc.n)
 		if tc.total == 0 {
 			if chunks != nil {
 				t.Errorf("splitChunks(%d, %d) = %v, want nil", tc.total, tc.n, chunks)

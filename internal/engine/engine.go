@@ -85,6 +85,9 @@ type Engine struct {
 	plans    map[string]*relationPlan
 	lastRel  string
 	lastPlan *relationPlan
+	// win is the batched path's window scratch: per-worker delta stores and
+	// merge bookkeeping, reused across windows (batch.go).
+	win windowScratch
 	// execMode selects compiled executors, the interpreter, or the
 	// run-both-and-compare equivalence check.
 	execMode ExecMode

@@ -65,6 +65,9 @@ type blockScratch struct {
 	hashes   []uint64
 	offs     []int32
 	vals     [][]types.Value
+	// run is the state of the current RunBlock call, held here so the ops'
+	// pointer to it does not cost an allocation per call.
+	run blockRun
 }
 
 // BlockExecutor is one trigger statement compiled for columnar blocks. Like
@@ -657,6 +660,7 @@ func (x *BlockExecutor) RunBlock(db agca.Database, b *Block, lo, hi int, acc Acc
 		sc = x.newScratch()
 	}
 	defer func() {
+		sc.run = blockRun{}
 		x.pool.Put(sc)
 		if r := recover(); r != nil {
 			if ee, ok := r.(*agca.EvalError); ok {
@@ -670,16 +674,17 @@ func (x *BlockExecutor) RunBlock(db agca.Database, b *Block, lo, hi int, acc Acc
 		sc.mults = make([]float64, b.Len())
 	}
 	sc.mults = sc.mults[:b.Len()]
-	run := blockRun{b: b, lo: lo, hi: hi, db: db, sc: sc}
+	run := &sc.run
+	*run = blockRun{b: b, lo: lo, hi: hi, db: db, sc: sc}
 	for ti := range x.terms {
 		term := &x.terms[ti]
 		for i := lo; i < hi; i++ {
 			sc.mults[i] = term.init
 		}
 		for _, op := range term.ops {
-			op(&run)
+			op(run)
 		}
-		x.emitTerm(&run, acc)
+		x.emitTerm(run, acc)
 	}
 	return nil
 }

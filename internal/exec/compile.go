@@ -34,7 +34,13 @@ type compiler struct {
 	// machine creation (constant function arguments); the closures never
 	// overwrite those positions.
 	prefills []prefill
+	// probes builds, per probing atom, the machine-bound callback the atom
+	// hands to EachProber.ProbeEach (machine.probeFns).
+	probes []probeMaker
 }
+
+// probeMaker binds one atom's probe callback to a machine.
+type probeMaker func(m *machine) func(gmr.Entry)
 
 func (c *compiler) slot(name string) int {
 	if s, ok := c.slots[name]; ok {
@@ -86,6 +92,7 @@ func CompileStatement(rhs agca.Expr, targetKeys []string, args []string) (x *Exe
 		nScratch: c.nScratch,
 		keySlots: keySlots,
 		prefills: c.prefills,
+		probes:   c.probes,
 	}, nil
 }
 
@@ -279,15 +286,24 @@ func (c *compiler) compileAtom(name string, vars []string, bound agca.VarSet, ne
 		next(m, mult*rowMult)
 	}
 
+	probeID := -1
+	if len(probeCols) > 0 {
+		probeID = len(c.probes)
+		c.probes = append(c.probes, func(m *machine) func(gmr.Entry) {
+			return func(e gmr.Entry) { row(m, e.Tuple, e.Mult, m.probeMult[probeID]) }
+		})
+	}
+
 	return func(m *machine, mult float64) {
-		if len(probeCols) > 0 && m.each != nil {
+		if probeID >= 0 && m.each != nil {
 			vals := m.vals[valsID]
 			for i, s := range probeSlots {
 				vals[i] = m.regs[s]
 			}
-			m.each.ProbeEach(name, probeCols, vals, func(e gmr.Entry) {
-				row(m, e.Tuple, e.Mult, mult)
-			})
+			saved := m.probeMult[probeID]
+			m.probeMult[probeID] = mult
+			m.each.ProbeEach(name, probeCols, vals, m.probeFns[probeID])
+			m.probeMult[probeID] = saved
 			return
 		}
 		// Scan fallback (databases without index probing, or no bound

@@ -66,6 +66,13 @@ type machine struct {
 	// scalarAcc accumulates the multiplicity sum of a scalar subquery; nested
 	// subqueries save and restore it.
 	scalarAcc float64
+	// probeFns holds one prebuilt index-probe callback per probing atom, bound
+	// to this machine at creation, so a probe passes an existing func value
+	// instead of allocating a closure over its incoming multiplicity. That
+	// multiplicity travels through the atom's probeMult slot instead, saved
+	// and restored around the probe.
+	probeFns  []func(gmr.Entry)
+	probeMult []float64
 
 	db   agca.Database
 	each agca.EachProber
@@ -89,6 +96,7 @@ type Executor struct {
 	nScratch int
 	keySlots []int
 	prefills []prefill
+	probes   []probeMaker
 	pool     sync.Pool
 }
 
@@ -113,6 +121,13 @@ func (x *Executor) newMachine() *machine {
 	}
 	for _, p := range x.prefills {
 		m.vals[p.valsID][p.idx] = p.val
+	}
+	if len(x.probes) > 0 {
+		m.probeFns = make([]func(gmr.Entry), len(x.probes))
+		m.probeMult = make([]float64, len(x.probes))
+		for i, mk := range x.probes {
+			m.probeFns[i] = mk(m)
+		}
 	}
 	return m
 }

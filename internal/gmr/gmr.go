@@ -339,6 +339,9 @@ func (g *GMR) Reset() {
 		return
 	}
 	g.arena = g.arena[:0]
+	// Zero the records before truncating: the spare capacity would otherwise
+	// keep every dropped tuple reachable for as long as the store lives.
+	clear(g.slots)
 	g.slots = g.slots[:0]
 	g.free = g.free[:0]
 	clear(g.index)

@@ -53,9 +53,14 @@ func (g *GMR) GetEncodedHashed(h uint64, key []byte) float64 {
 // of serializing the merge on the view.
 //
 // Parts are created lazily (a nullary or low-cardinality delta touches one
-// part). A Ranged store is single-writer, like the GMR it wraps.
+// part). A Ranged store is single-writer, like the GMR it wraps, and is meant
+// to be long-lived: Reset empties it for the next window without giving back
+// any part's memory, and SwapPart moves whole parts between stores without
+// ever letting two stores share one.
 type Ranged struct {
 	schema types.Schema
+	// parts holds the live partitions; parts beyond len, up to cap, are
+	// emptied parts of an earlier, larger partitioning, kept for reuse.
 	parts  []*GMR
 	shift  uint
 	keyBuf []byte
@@ -64,17 +69,48 @@ type Ranged struct {
 // NewRanged returns an empty range-partitioned accumulator with at least
 // nParts partitions (rounded up to a power of two, minimum 1).
 func NewRanged(schema types.Schema, nParts int) *Ranged {
+	p := partCount(nParts)
+	return &Ranged{
+		schema: schema.Clone(),
+		parts:  make([]*GMR, p),
+		shift:  partShift(p),
+	}
+}
+
+// partCount rounds a requested partition count up to a power of two.
+func partCount(nParts int) int {
 	p := 1
 	for p < nParts {
 		p <<= 1
 	}
-	return &Ranged{
-		schema: schema.Clone(),
-		parts:  make([]*GMR, p),
-		// With p == 1 the shift is 64 and every hash routes to part 0 (Go
-		// defines over-width shifts of unsigned values as 0).
-		shift: uint(64 - bits.TrailingZeros(uint(p))),
+	return p
+}
+
+// partShift is the hash shift routing to one of p (a power of two) parts.
+// With p == 1 the shift is 64 and every hash routes to part 0 (Go defines
+// over-width shifts of unsigned values as 0).
+func partShift(p int) uint { return uint(64 - bits.TrailingZeros(uint(p))) }
+
+// Reset empties the store and repartitions it into at least nParts parts
+// (rounded up like NewRanged). Every part created so far keeps its arena,
+// slot slice and probe table — also the parts a smaller partitioning leaves
+// unused, which come back when the count grows again — so a store reused
+// across windows stops allocating once its parts reach working-set size.
+func (r *Ranged) Reset(nParts int) {
+	all := r.parts[:cap(r.parts)]
+	for _, g := range all {
+		if g != nil && len(g.slots) != 0 {
+			g.Reset()
+		}
 	}
+	p := partCount(nParts)
+	if p > len(all) {
+		grown := make([]*GMR, p)
+		copy(grown, all)
+		all = grown
+	}
+	r.parts = all[:p]
+	r.shift = partShift(p)
 }
 
 // Schema returns the schema shared by every part.
@@ -86,14 +122,18 @@ func (r *Ranged) NumParts() int { return len(r.parts) }
 // PartFor returns the partition index the hash routes to.
 func (r *Ranged) PartFor(h uint64) int { return int(h >> r.shift) }
 
-// Part returns the partition at index i, or nil when no key has been routed
-// to it yet.
+// Part returns the partition at index i, or nil when the store has never
+// held one there. A reused store's parts may be non-nil and empty.
 func (r *Ranged) Part(i int) *GMR { return r.parts[i] }
 
-// SetPart installs g as partition i (adopting it, not copying). The engine's
-// merge stage uses it to hand a whole part over from one worker's store to
-// the combined one; g must route by the same part count.
-func (r *Ranged) SetPart(i int, g *GMR) { r.parts[i] = g }
+// SwapPart exchanges partition i of r with partition i of o. The engine's
+// merge stage uses it to hand a whole part from one worker's store to the
+// combined one while the other side takes the (empty) part it replaces, so
+// every part keeps exactly one owning store. Both stores must route by the
+// same part count.
+func (r *Ranged) SwapPart(i int, o *Ranged) {
+	r.parts[i], o.parts[i] = o.parts[i], r.parts[i]
+}
 
 func (r *Ranged) part(i int) *GMR {
 	if r.parts[i] == nil {

@@ -111,19 +111,112 @@ func TestRangedPartwiseMerge(t *testing.T) {
 		}
 		want.Add(tup, m)
 	}
-	// Part-by-part combine, with pointer adoption for parts a never touched.
+	// Part-by-part combine, swapping in the parts a never touched.
 	for i := 0; i < a.NumParts(); i++ {
 		bp := b.Part(i)
 		if bp == nil {
 			continue
 		}
-		if a.Part(i) == nil {
-			a.SetPart(i, bp)
+		if ap := a.Part(i); ap == nil || ap.IsEmpty() {
+			a.SwapPart(i, b)
+			if b.Part(i) != ap {
+				t.Fatalf("part %d: swap did not hand a's part to b", i)
+			}
 			continue
 		}
 		a.Part(i).MergeInto(bp, 1)
 	}
 	if got := a.Gather(); !Equal(want, got, 1e-9) {
 		t.Fatalf("partwise merge mismatch:\nwant %v\ngot  %v", want, got)
+	}
+}
+
+// TestResetDropsTuples pins that Reset leaves no tuple reachable from the
+// slot slice's spare capacity: a store reused for the engine's lifetime must
+// not keep a previous window's tuples alive.
+func TestResetDropsTuples(t *testing.T) {
+	g := New(types.Schema{"k", "v"})
+	for i := 0; i < 200; i++ {
+		g.Add(types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprint(i))}, 1)
+	}
+	for i := 0; i < 200; i += 3 {
+		g.Add(types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprint(i))}, -1)
+	}
+	g.Reset()
+	if g.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", g.Len())
+	}
+	for i, s := range g.slots[:cap(g.slots)] {
+		if s.tuple != nil {
+			t.Fatalf("slot %d in spare capacity still holds tuple %v", i, s.tuple)
+		}
+	}
+	// The emptied store is fully usable again.
+	want := New(g.Schema())
+	for i := 0; i < 50; i++ {
+		tup := types.Tuple{types.Int(int64(i % 7)), types.Str("x")}
+		g.Add(tup, 2)
+		want.Add(tup, 2)
+	}
+	if !Equal(want, g, 0) {
+		t.Fatalf("reused store mismatch:\nwant %v\ngot  %v", want, g)
+	}
+}
+
+// TestRangedResetReuse checks that Reset empties a Ranged store in place:
+// every part keeps its identity across resets and repartitions (including
+// parts a smaller count leaves unused), resetting allocates nothing once the
+// parts exist, and the reset store routes and accumulates like a fresh one.
+func TestRangedResetReuse(t *testing.T) {
+	schema := types.Schema{"k"}
+	fill := func(r *Ranged, seed int64) *GMR {
+		want := New(schema)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			tup := types.Tuple{types.Int(int64(rng.Intn(300)))}
+			m := float64(rng.Intn(5) - 2)
+			r.Add(tup, m)
+			want.Add(tup, m)
+		}
+		return want
+	}
+	r := NewRanged(schema, 4)
+	fill(r, 1)
+	owned := map[*GMR]bool{}
+	for i := 0; i < r.NumParts(); i++ {
+		if r.Part(i) == nil {
+			t.Fatalf("part %d never created", i)
+		}
+		owned[r.Part(i)] = true
+	}
+	for round, n := range []int{4, 1, 2, 4, 3} {
+		r.Reset(n)
+		if r.Len() != 0 {
+			t.Fatalf("round %d: Len after Reset(%d) = %d", round, n, r.Len())
+		}
+		if got, want := r.NumParts(), partCount(n); got != want {
+			t.Fatalf("round %d: NumParts after Reset(%d) = %d, want %d", round, n, got, want)
+		}
+		for i, g := range r.parts[:cap(r.parts)] {
+			if g != nil && !owned[g] {
+				t.Fatalf("round %d: part %d was replaced instead of reused", round, i)
+			}
+		}
+		want := fill(r, int64(round+2))
+		if got := r.Gather(); !Equal(want, got, 1e-9) {
+			t.Fatalf("round %d: reset store mismatch:\nwant %v\ngot  %v", round, want, got)
+		}
+		for i := 0; i < r.NumParts(); i++ {
+			if p := r.Part(i); p != nil {
+				p.ForeachKeyed(func(k []byte, _ types.Tuple, _ float64) {
+					if want := r.PartFor(HashKey(k)); want != i {
+						t.Fatalf("round %d: key %q stored in part %d, routed to %d", round, k, i, want)
+					}
+				})
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.Reset(1); r.Reset(4) }); allocs != 0 {
+		t.Fatalf("Reset allocates %.1f/op on a warmed store, want 0", allocs)
 	}
 }
